@@ -75,8 +75,8 @@ type (
 	EventCursor  = core.EventCursor
 	// Placement selects the key-to-database mapping strategy.
 	Placement = core.Placement
-	// RescaleStats reports a storage-rescaling migration.
-	RescaleStats = core.RescaleStats
+	// CopyStats reports a key walk: migration copy/verify, resync, Rescale.
+	CopyStats = core.CopyStats
 	// AsyncEngine is the client-side asynchrony layer of §II-D: the one
 	// set of argo pools under asynchronous write batches, the prefetcher,
 	// cursor lookahead, PEP readers and the data loader. Obtain it with
@@ -323,19 +323,17 @@ var (
 )
 
 // Rescale migrates all data from one datastore view to another whose
-// database sets differ — the storage-rescaling extension the paper cites
-// as future work (§V, Pufferscale). Requires write quiescence.
+// database sets differ (§V, Pufferscale): a thin call over the live
+// migration machine, after which the old client serves the new view.
 var Rescale = core.Rescale
 
 // Replication and failover types (surviving server death): with a
 // replication factor ≥ 2 — set at deployment via DeploySpec.RF or per
 // client via ClientConfig.RF — every key is written to copies on distinct
 // servers, reads route around unhealthy primaries via the client's health
-// tracker (DataStore.Health), and DataStore.ResyncServer replays missed
-// writes onto a restarted server from the surviving replicas.
+// tracker (DataStore.Health), and DataStore.ResyncServer repairs the writes
+// a restarted server missed from the surviving replicas.
 type (
-	// ResyncStats reports an anti-entropy pass, per role.
-	ResyncStats = core.ResyncStats
 	// HealthTracker is the client's per-server liveness state machine.
 	HealthTracker = health.Tracker
 	// HealthState is one liveness state (alive/suspect/dead/rejoined).

@@ -181,8 +181,8 @@ func (m *Migrator) Run(ctx context.Context, target *core.View) error {
 	converged := false
 	for round := 0; round < rounds && !converged; round++ {
 		err = m.policy().Run(ctx, "autopilot:verify", func(ctx context.Context) error {
-			_, repaired, verr := m.DS.VerifyView(ctx, target)
-			if verr == nil && repaired == 0 {
+			st, verr := m.DS.VerifyView(ctx, target)
+			if verr == nil && st.TotalCopied() == 0 {
 				converged = true
 			}
 			return verr

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
+	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
 )
 
 var deploySeq atomic.Int64
@@ -611,27 +612,30 @@ func TestPlacementCoLocation(t *testing.T) {
 	// run and all events of a subrun — the iterability invariant.
 	ds := newTestStore(t, bedrock.DeploySpec{Servers: 4})
 	d, _ := ds.CreateDataSet(context.Background(), "place")
-	runDB := ds.runDBForDataset(d.key)
+	v := ds.v()
+	runDB := placeDB(ds, v.RunDBs, d.key.Bytes())
 	for n := uint64(0); n < 100; n++ {
-		if got := ds.runDBForDataset(d.key); got != runDB {
+		if got := placeDB(ds, v.RunDBs, d.key.Bytes()); got != runDB {
 			t.Fatal("run placement depends on something other than the dataset")
 		}
 	}
 	runKey := d.key.Child(7)
-	srDB := ds.subrunDBForRun(runKey)
-	evDB := ds.eventDBForSubRun(runKey.Child(1))
-	_ = srDB
-	_ = evDB
 	// Different subruns usually map to different event databases (load
 	// distribution); with 16 event DBs, 64 subruns hitting one DB would be
 	// astronomically unlikely.
 	all := map[string]bool{}
 	for sr := uint64(0); sr < 64; sr++ {
-		all[ds.eventDBForSubRun(runKey.Child(sr)).String()] = true
+		all[placeDB(ds, v.EventDBs, runKey.Child(sr).Bytes()).String()] = true
 	}
 	if len(all) < 2 {
 		t.Fatal("event placement does not spread subruns across databases")
 	}
+}
+
+// placeDB is the single-home placement reference (§II-C): the database of
+// dbs holding keys whose parent is parentKey.
+func placeDB(ds *DataStore, dbs []yokan.DBHandle, parentKey []byte) yokan.DBHandle {
+	return dbs[ds.placement.placer(len(dbs)).Place(parentKey)]
 }
 
 func TestServiceStats(t *testing.T) {

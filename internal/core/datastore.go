@@ -524,38 +524,6 @@ func (ds *DataStore) NumEventDatabases() int { return len(ds.v().EventDBs) }
 // NumProductDatabases returns how many product databases the service has.
 func (ds *DataStore) NumProductDatabases() int { return len(ds.v().ProductDBs) }
 
-// dbFor picks the database holding keys whose *parent* is parentKey among
-// the role's databases, per the paper's placement rule.
-func (ds *DataStore) dbFor(dbs []yokan.DBHandle, parentKey []byte) yokan.DBHandle {
-	return dbs[ds.placement.placer(len(dbs)).Place(parentKey)]
-}
-
-// datasetDBForPath places a dataset path entry by its parent path.
-func (ds *DataStore) datasetDBForPath(path string) yokan.DBHandle {
-	return ds.dbFor(ds.v().DatasetDBs, []byte(parentPath(path)))
-}
-
-// runDBForDataset places a dataset's runs.
-func (ds *DataStore) runDBForDataset(dsKey keys.ContainerKey) yokan.DBHandle {
-	return ds.dbFor(ds.v().RunDBs, dsKey.Bytes())
-}
-
-// subrunDBForRun places a run's subruns.
-func (ds *DataStore) subrunDBForRun(runKey keys.ContainerKey) yokan.DBHandle {
-	return ds.dbFor(ds.v().SubrunDBs, runKey.Bytes())
-}
-
-// eventDBForSubRun places a subrun's events.
-func (ds *DataStore) eventDBForSubRun(srKey keys.ContainerKey) yokan.DBHandle {
-	return ds.dbFor(ds.v().EventDBs, srKey.Bytes())
-}
-
-// productDBForContainer places a container's products by the container's
-// own key (batched product reads hit one database, §II-C3).
-func (ds *DataStore) productDBForContainer(ck keys.ContainerKey) yokan.DBHandle {
-	return ds.dbFor(ds.v().ProductDBs, ck.Bytes())
-}
-
 // pathSep separates dataset path components.
 const pathSep = "/"
 

@@ -180,7 +180,7 @@ func TestFailoverE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalReplayed() == 0 {
+	if st.TotalCopied() == 0 {
 		t.Fatalf("anti-entropy replayed nothing onto the rejoined server: %+v", st)
 	}
 	if got := ds.Health().StateOf(string(victimAddr)); got != health.Alive {

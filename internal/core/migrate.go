@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
+	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 	"github.com/hep-on-hpc/hepnos-go/internal/qos"
@@ -14,8 +16,7 @@ import (
 
 // Live key-range migration (DESIGN.md §18): the data-plane half of the
 // autopilot's plan → copy → verify → epoch-bump → retire state machine.
-// Unlike Rescale (quiescent, single-view, RF-blind), these primitives run
-// against a serving datastore:
+// These primitives run against a serving datastore:
 //
 //   - BeginMigration installs the target view as the alternate, turning on
 //     dual-write (every write lands in both views' replica sets) and
@@ -38,6 +39,10 @@ import (
 // up, in internal/autopilot. The copy path assumes the HEPnOS data model's
 // write-once keys: a key rewritten with a *different* value during the
 // copy window may finish with either value on the target.
+//
+// Copy, verify, anti-entropy resync (ResyncServer) and offline rescaling
+// (Rescale) are all one key walk (walkKeys) with different source filters,
+// target rules and counters.
 
 // Migration lifecycle errors, classified for the autopilot's retry logic.
 var (
@@ -54,8 +59,10 @@ var (
 
 // productKeyPrefixLens are the plausible container-key lengths embedded in
 // a product key (dataset, run, subrun, event). Product keys do not
-// self-describe their container length, so placement probes all of them;
-// shared by Rescale, ResyncServer and the migration walks.
+// self-describe their container length, so placement probes all of them:
+// every valid length whose placement explains the key's current database
+// is a candidate, and false-positive copies are unreachable, idempotent
+// garbage — the price of keeping the paper's key format unchanged.
 var productKeyPrefixLens = []int{
 	keys.UUIDLen,
 	keys.UUIDLen + 1*keys.NumLen,
@@ -63,10 +70,11 @@ var productKeyPrefixLens = []int{
 	keys.UUIDLen + 3*keys.NumLen,
 }
 
-// CopyStats reports a migration copy or verify pass.
+// CopyStats reports one key walk: a migration copy or verify pass, an
+// anti-entropy resync or a rescale.
 type CopyStats struct {
 	// Scanned counts keys examined per role; Copied counts copies written
-	// to target databases.
+	// to target databases (by a verify walk: the missing copies repaired).
 	Scanned map[string]int
 	Copied  map[string]int
 	// Ranges is the number of (role, database) source ranges walked.
@@ -78,6 +86,15 @@ func (s CopyStats) TotalScanned() int { return total(s.Scanned) }
 
 // TotalCopied returns all copies written.
 func (s CopyStats) TotalCopied() int { return total(s.Copied) }
+
+// total sums a per-role map.
+func total(m map[string]int) int {
+	t := 0
+	for _, v := range m {
+		t += v
+	}
+	return t
+}
 
 // migrationRole pairs one role's source and target database sets with the
 // rule recovering the parent keys that place a stored key.
@@ -188,169 +205,208 @@ func (ds *DataStore) AbortMigration() error {
 	return nil
 }
 
-// CopyToView copies every key reachable through the committed view to its
-// replica set under target. Copies ride the batch QoS class so interactive
-// reads keep their latency SLO. onRange, when non-nil, observes progress
-// after each (role, database) source range completes. Idempotent: a
-// partial pass rerun re-copies the same byte-identical values.
-//
-// Under RF ≥ 2 the first *usable* replica of each key performs the copy
-// (the others skip it), so a source death mid-copy shifts its share of the
-// work to the surviving replicas on the retry instead of losing it.
-func (ds *DataStore) CopyToView(ctx context.Context, target *View, onRange func(role string, done, total int)) (CopyStats, error) {
-	st := CopyStats{Scanned: map[string]int{}, Copied: map[string]int{}}
+// keyWalk configures one walkKeys pass.
+type keyWalk struct {
+	span     string // trace span name
+	src, dst *View
+	// from filters the source databases listed (nil lists them all).
+	from func(yokan.DBHandle) bool
+	// onto reports whether t, a member of a key's replica set under dst,
+	// is a target of the walk; srcSet is the key's replica set under src.
+	onto func(t yokan.DBHandle, srcSet []yokan.DBHandle) bool
+	// verify probes the targets and copies only the keys they miss.
+	verify bool
+	// counter accumulates the copies written.
+	counter *atomic.Int64
+	onRange func(role string, done, total int)
+}
+
+// notSource is the migration target rule: every database of the key's
+// replica set under the target view that does not already hold it.
+func notSource(t yokan.DBHandle, srcSet []yokan.DBHandle) bool { return !containsDB(srcSet, t) }
+
+// walkKeys is the one key walk. It lists every (role, source database) of
+// w.src page by page and, for each candidate parent of each key, recomputes
+// the key's replica set under src and dst. A key travels from exactly one
+// source — its owner, the first replica in read order that is not itself
+// a target — so under RF ≥ 2 a dead source's share shifts to a surviving
+// replica on the retry instead of being lost. Keys are batched by target
+// database and either copied (PutMulti) or, with verify, probed (Exists)
+// and the missing ones copied. Copies ride the batch QoS class so
+// interactive reads keep their latency SLO. Idempotent: a partial walk
+// rerun rewrites the same byte-identical values.
+func (ds *DataStore) walkKeys(ctx context.Context, w keyWalk) (st CopyStats, err error) {
+	st = CopyStats{Scanned: map[string]int{}, Copied: map[string]int{}}
 	if ds.closed.Load() {
 		return st, ErrClosed
 	}
 	ctx = qos.WithClass(ctx, qos.ClassBatch)
-	sp := ds.tracer.Start("core:migrate_copy", obs.KindInternal, obs.SpanFromContext(ctx), "")
+	sp := ds.tracer.Start(w.span, obs.KindInternal, obs.SpanFromContext(ctx), "")
 	ctx = obs.ContextWithSpan(ctx, sp.Context())
-	var err error
 	defer func() { sp.End(err) }()
 
-	src := ds.v()
-	roles := migrationRoles(src, target)
-	rangesTotal := 0
+	type batch struct{ keys, vals [][]byte }
+	roles := migrationRoles(w.src, w.dst)
+	ranges := 0
 	for _, r := range roles {
-		rangesTotal += len(r.src)
+		ranges += len(r.src)
 	}
 	for _, r := range roles {
 		for _, db := range r.src {
-			if err = ds.copyRange(ctx, r, db, &st); err != nil {
-				return st, err
+			listed := w.from == nil || w.from(db)
+			for from := []byte(nil); listed; {
+				kvs, lerr := ds.yc.ListKeyVals(ctx, db, from, nil, listPageSize)
+				if lerr != nil {
+					return st, fmt.Errorf("hepnos: key walk: list %s: %w", db, lerr)
+				}
+				if len(kvs) == 0 {
+					break
+				}
+				byTarget := map[yokan.DBHandle]*batch{}
+				for _, kv := range kvs {
+					st.Scanned[r.name]++
+					for _, parent := range r.parents(kv.Key) {
+						srcSet := ds.replicasFor(r.src, parent)
+						if !containsDB(srcSet, db) {
+							continue // this interpretation does not place the key here
+						}
+						var targets, owners []yokan.DBHandle
+						for _, t := range ds.replicasFor(r.dst, parent) {
+							if w.onto(t, srcSet) {
+								targets = append(targets, t)
+							}
+						}
+						for _, s := range srcSet {
+							if !containsDB(targets, s) {
+								owners = append(owners, s)
+							}
+						}
+						if len(targets) == 0 || len(owners) == 0 || ds.readOrder(owners)[0] != db {
+							continue // nothing to send, or another replica sends it
+						}
+						for _, t := range targets {
+							b := byTarget[t]
+							if b == nil {
+								b = &batch{}
+								byTarget[t] = b
+							}
+							b.keys = append(b.keys, kv.Key)
+							b.vals = append(b.vals, kv.Val)
+						}
+					}
+				}
+				for t, b := range byTarget {
+					ks, vs := b.keys, b.vals
+					if w.verify {
+						found, eerr := ds.yc.Exists(ctx, t, ks)
+						if eerr != nil {
+							return st, fmt.Errorf("hepnos: key walk: verify %s: %w", t, eerr)
+						}
+						ks, vs = nil, nil
+						for i, ok := range found {
+							if !ok {
+								ks = append(ks, b.keys[i])
+								vs = append(vs, b.vals[i])
+							}
+						}
+					}
+					if len(ks) == 0 {
+						continue
+					}
+					if perr := ds.yc.PutMulti(ctx, t, ks, vs); perr != nil {
+						return st, fmt.Errorf("hepnos: key walk: copy to %s: %w", t, perr)
+					}
+					st.Copied[r.name] += len(ks)
+					w.counter.Add(int64(len(ks)))
+				}
+				from = kvs[len(kvs)-1].Key
 			}
 			st.Ranges++
-			if onRange != nil {
-				onRange(r.name, st.Ranges, rangesTotal)
+			if w.onRange != nil {
+				w.onRange(r.name, st.Ranges, ranges)
 			}
 		}
 	}
 	return st, nil
 }
 
-// copyRange copies one source database's keys to their target-view homes.
-func (ds *DataStore) copyRange(ctx context.Context, r migrationRole, db yokan.DBHandle, st *CopyStats) error {
-	var from []byte
-	for {
-		kvs, err := ds.yc.ListKeyVals(ctx, db, from, nil, rescaleBatch)
-		if err != nil {
-			return fmt.Errorf("hepnos: migrate scan %s: %w", db, err)
-		}
-		if len(kvs) == 0 {
-			return nil
-		}
-		type batch struct{ keys, vals [][]byte }
-		byTarget := map[yokan.DBHandle]*batch{}
-		for _, kv := range kvs {
-			st.Scanned[r.name]++
-			for _, parent := range r.parents(kv.Key) {
-				srcSet := ds.replicasFor(r.src, parent)
-				if !containsDB(srcSet, db) {
-					continue // this interpretation does not claim this db
-				}
-				if ds.readOrder(srcSet)[0] != db {
-					continue // a healthier or earlier replica owns the copy
-				}
-				for _, t := range ds.replicasFor(r.dst, parent) {
-					if t == db || containsDB(srcSet, t) {
-						continue // the target already holds this key
-					}
-					b := byTarget[t]
-					if b == nil {
-						b = &batch{}
-						byTarget[t] = b
-					}
-					b.keys = append(b.keys, kv.Key)
-					b.vals = append(b.vals, kv.Val)
-				}
-			}
-		}
-		for t, b := range byTarget {
-			if err := ds.yc.PutMulti(ctx, t, b.keys, b.vals); err != nil {
-				return fmt.Errorf("hepnos: migrate copy to %s: %w", t, err)
-			}
-			st.Copied[r.name] += len(b.keys)
-			ds.migrationCopied.Add(int64(len(b.keys)))
-		}
-		from = kvs[len(kvs)-1].Key
-	}
+// CopyToView copies every key reachable through the committed view to its
+// replica set under target. onRange, when non-nil, observes progress after
+// each (role, database) source range completes.
+func (ds *DataStore) CopyToView(ctx context.Context, target *View, onRange func(role string, done, total int)) (CopyStats, error) {
+	return ds.walkKeys(ctx, keyWalk{
+		span: "core:migrate_copy", src: ds.v(), dst: target, onto: notSource,
+		counter: &ds.migrationCopied, onRange: onRange,
+	})
 }
 
 // VerifyView re-walks the committed view, checks that every key exists on
 // every member of its target-view replica set, and repairs the copies the
-// target is missing. It returns the number of key-copies checked and
-// repaired; repaired == 0 means the target holds a complete image.
-func (ds *DataStore) VerifyView(ctx context.Context, target *View) (checked, repaired int, err error) {
-	if ds.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	ctx = qos.WithClass(ctx, qos.ClassBatch)
-	sp := ds.tracer.Start("core:migrate_verify", obs.KindInternal, obs.SpanFromContext(ctx), "")
-	ctx = obs.ContextWithSpan(ctx, sp.Context())
-	defer func() { sp.End(err) }()
+// target is missing. TotalCopied() == 0 means the target holds a complete
+// image.
+func (ds *DataStore) VerifyView(ctx context.Context, target *View) (CopyStats, error) {
+	return ds.walkKeys(ctx, keyWalk{
+		span: "core:migrate_verify", src: ds.v(), dst: target, onto: notSource,
+		verify: true, counter: &ds.migrationRepaired,
+	})
+}
 
-	src := ds.v()
-	for _, r := range migrationRoles(src, target) {
-		for _, db := range r.src {
-			var from []byte
-			for {
-				kvs, lerr := ds.yc.ListKeyVals(ctx, db, from, nil, rescaleBatch)
-				if lerr != nil {
-					return checked, repaired, fmt.Errorf("hepnos: migrate verify scan %s: %w", db, lerr)
-				}
-				if len(kvs) == 0 {
-					break
-				}
-				type probe struct {
-					keys, vals [][]byte
-				}
-				byTarget := map[yokan.DBHandle]*probe{}
-				for _, kv := range kvs {
-					for _, parent := range r.parents(kv.Key) {
-						srcSet := ds.replicasFor(r.src, parent)
-						if !containsDB(srcSet, db) || ds.readOrder(srcSet)[0] != db {
-							continue
-						}
-						for _, t := range ds.replicasFor(r.dst, parent) {
-							if t == db || containsDB(srcSet, t) {
-								continue
-							}
-							p := byTarget[t]
-							if p == nil {
-								p = &probe{}
-								byTarget[t] = p
-							}
-							p.keys = append(p.keys, kv.Key)
-							p.vals = append(p.vals, kv.Val)
-						}
-					}
-				}
-				for t, p := range byTarget {
-					found, eerr := ds.yc.Exists(ctx, t, p.keys)
-					if eerr != nil {
-						return checked, repaired, fmt.Errorf("hepnos: migrate verify %s: %w", t, eerr)
-					}
-					checked += len(p.keys)
-					var mk, mv [][]byte
-					for i, ok := range found {
-						if !ok {
-							mk = append(mk, p.keys[i])
-							mv = append(mv, p.vals[i])
-						}
-					}
-					if len(mk) > 0 {
-						if perr := ds.yc.PutMulti(ctx, t, mk, mv); perr != nil {
-							return checked, repaired, fmt.Errorf("hepnos: migrate repair to %s: %w", t, perr)
-						}
-						repaired += len(mk)
-						ds.migrationRepaired.Add(int64(len(mk)))
-					}
-				}
-				from = kvs[len(kvs)-1].Key
-			}
-		}
+// ResyncServer is the anti-entropy pass for a rejoined server — reachable,
+// but missing every write tolerantly dropped while it was down: it
+// verifies the committed view onto the databases at addr, copying each
+// key they should hold and miss from its owner among the usable peers.
+// It requires quiescence (no concurrent writers) and a replication factor
+// of at least 2 — with rf 1 a dead server's keys have no surviving copy.
+// Rerunning a partially-failed pass is safe. On success the health
+// tracker marks the server resynced (Rejoined → Alive) and reads prefer
+// it again.
+func (ds *DataStore) ResyncServer(ctx context.Context, addr fabric.Address) (CopyStats, error) {
+	if ds.rf <= 1 {
+		return CopyStats{}, fmt.Errorf("hepnos: resync %s: replication factor is 1, nothing to replay from", addr)
 	}
-	return checked, repaired, nil
+	v := ds.v()
+	st, err := ds.walkKeys(ctx, keyWalk{
+		span: "core:resync", src: v, dst: v, verify: true, counter: &ds.resyncReplayed,
+		from: func(db yokan.DBHandle) bool { return ds.health.Usable(string(db.Addr)) },
+		onto: func(t yokan.DBHandle, _ []yokan.DBHandle) bool { return t.Addr == addr },
+	})
+	if err != nil {
+		return st, err
+	}
+	ds.health.MarkResynced(string(addr))
+	return st, nil
+}
+
+// Rescale migrates all data reachable through old so that it is placed
+// under new's view — the storage rescaling the paper names as future work
+// (§V, Pufferscale). It is the live migration above run to completion on
+// old: BeginMigration → CopyToView → VerifyView → CommitMigration →
+// RetireView, after which old serves new's view. Keys whose placement did
+// not change are not copied; with PlacementJump growing the database set
+// moves only ~1/(n+1) of them. Both clients must use the same placement
+// strategy, and new's membership epoch must be strictly newer than old's.
+func Rescale(ctx context.Context, old, new *DataStore) (CopyStats, error) {
+	if old.placement != new.placement {
+		return CopyStats{}, fmt.Errorf("hepnos: rescale: placement strategies differ (%q vs %q)",
+			old.placement, new.placement)
+	}
+	target := new.v()
+	if err := old.BeginMigration(target); err != nil {
+		return CopyStats{}, fmt.Errorf("hepnos: rescale: %w", err)
+	}
+	st, err := old.CopyToView(ctx, target, nil)
+	if err == nil {
+		_, err = old.VerifyView(ctx, target)
+	}
+	if err == nil {
+		err = old.CommitMigration(target)
+	}
+	if err != nil {
+		_ = old.AbortMigration()
+		return st, fmt.Errorf("hepnos: rescale: %w", err)
+	}
+	_, err = old.RetireView(ctx)
+	return st, err
 }
 
 // CommitMigration atomically swaps the committed view to target — the
@@ -464,7 +520,7 @@ func (ds *DataStore) RetireView(ctx context.Context) (int, error) {
 func (ds *DataStore) retireRange(ctx context.Context, r migrationRole, db yokan.DBHandle, erased int) (int, error) {
 	var from []byte
 	for {
-		page, err := ds.yc.ListKeys(ctx, db, from, nil, rescaleBatch)
+		page, err := ds.yc.ListKeys(ctx, db, from, nil, listPageSize)
 		if err != nil {
 			return erased, fmt.Errorf("hepnos: migrate retire scan %s: %w", db, err)
 		}

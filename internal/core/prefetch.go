@@ -33,13 +33,13 @@ func (ds *DataStore) NewPrefetcher(sel ...ProductSelector) *Prefetcher {
 }
 
 // prefetchGroup is one per-database GetMulti batch. The group targets the
-// health-preferred replica of its containers; fallback lists the remaining
-// copies to retry against when the target's RPC fails, and fo counts the
+// health-preferred replica of its containers; replicas is the replica set
+// the group falls back over when the target's RPC fails, and fo counts the
 // loads whose target already differs from the placement primary (reads the
 // failover layer rerouted).
 type prefetchGroup struct {
 	db       yokan.DBHandle
-	fallback []yokan.DBHandle
+	replicas []yokan.DBHandle
 	keys     [][]byte
 	slots    []prefetchSlot
 	fo       int
@@ -84,11 +84,10 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 			continue
 		}
 		replicas := p.ds.productReplicas(ck)
-		order := p.ds.readOrder(replicas)
-		db := order[0]
+		db := p.ds.readOrder(replicas)[0]
 		g := byDB[db]
 		if g == nil {
-			g = &prefetchGroup{db: db, fallback: order[1:]}
+			g = &prefetchGroup{db: db, replicas: replicas}
 			byDB[db] = g
 			groups = append(groups, g)
 		}
@@ -114,7 +113,9 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 		evs[i] = p.ds.yc.GetMultiAsync(ctx, p.ds.engine, g.db, g.keys, bulk)
 	}
 	var out []pepPrefEntry
-	degraded, failover := 0, 0
+	// failover counts loads served off their placement primary; rerouted
+	// is the part readReplicas did not already add to the counter.
+	degraded, failover, rerouted := 0, 0, 0
 	var stragglers []*asyncengine.Eventual[yokan.GetMultiResult]
 	for i, g := range groups {
 		p.ds.prefetchLoads.Add(int64(len(g.keys)))
@@ -129,28 +130,31 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 				degraded += len(g.keys)
 				continue
 			}
-			p.ds.noteReadFailure(g.db, err)
-			// Retry the whole group against the remaining replicas before
-			// degrading. Keys whose replica set does not include the
-			// fallback database simply come back not-found and load
-			// on-demand later — a miss, never a wrong answer.
-			recovered := false
-			for _, fdb := range g.fallback {
-				vals, found, rerr := p.ds.yc.GetMulti(ctx, fdb, g.keys, len(g.keys) >= 32)
-				if rerr == nil {
-					res = yokan.GetMultiResult{Vals: vals, Found: found}
-					recovered = true
-					failover += len(g.keys)
-					break
+			// Retry the whole group over its replica set before degrading;
+			// the target's own failure is replayed to readReplicas, which
+			// classifies it like any other. Keys whose replica set does not
+			// include the fallback database simply come back not-found and
+			// load on-demand later — a miss, never a wrong answer.
+			failed := err
+			err = p.ds.readReplicas(g.replicas, len(g.keys), func(db yokan.DBHandle) (bool, error) {
+				if db == g.db {
+					return false, failed
 				}
-				p.ds.noteReadFailure(fdb, rerr)
-			}
-			if !recovered {
+				vals, found, rerr := p.ds.yc.GetMulti(ctx, db, g.keys, len(g.keys) >= 32)
+				if rerr != nil {
+					return false, rerr
+				}
+				res = yokan.GetMultiResult{Vals: vals, Found: found}
+				return true, nil
+			})
+			if err != nil {
 				degraded += len(g.keys)
 				continue
 			}
+			failover += len(g.keys)
 		} else {
 			failover += g.fo
+			rerouted += g.fo
 		}
 		for j := range g.keys {
 			if !res.Found[j] {
@@ -182,6 +186,6 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 		})
 	}
 	p.ds.prefetchDegraded.Add(int64(degraded))
-	p.ds.failoverReads.Add(int64(failover))
+	p.ds.failoverReads.Add(int64(rerouted))
 	return out, degraded, failover
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"github.com/hep-on-hpc/hepnos-go/internal/asyncengine"
-	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/health"
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
 	"github.com/hep-on-hpc/hepnos-go/internal/xerr"
@@ -28,25 +27,22 @@ import (
 // degenerates to the classic single-home placement.
 func (ds *DataStore) replicasFor(dbs []yokan.DBHandle, parentKey []byte) []yokan.DBHandle {
 	primary := ds.placement.placer(len(dbs)).Place(parentKey)
-	if ds.rf <= 1 || len(dbs) == 1 {
-		return []yokan.DBHandle{dbs[primary]}
-	}
-	out := make([]yokan.DBHandle, 0, ds.rf)
-	out = append(out, dbs[primary])
-	used := map[fabric.Address]bool{dbs[primary].Addr: true}
+	out := make([]yokan.DBHandle, 1, max(ds.rf, 1))
+	out[0] = dbs[primary]
+next:
 	for step := 1; step < len(dbs) && len(out) < ds.rf; step++ {
 		db := dbs[(primary+step)%len(dbs)]
-		if used[db.Addr] {
-			continue
+		for _, chosen := range out {
+			if chosen.Addr == db.Addr {
+				continue next
+			}
 		}
-		used[db.Addr] = true
 		out = append(out, db)
 	}
 	return out
 }
 
-// Per-role replica sets, mirroring the single-database helpers in
-// datastore.go (same parent-key placement rule, §II-C).
+// Per-role replica sets, by the paper's parent-key placement rule (§II-C).
 //
 // During a live migration (DESIGN.md §18) the sets are the *union* of the
 // committed view's replicas and the alternate view's: writes land in both
@@ -71,6 +67,16 @@ func (ds *DataStore) unionReplicas(role func(*View) []yokan.DBHandle, parentKey 
 		}
 	}
 	return out
+}
+
+// containsDB reports whether the replica set includes db.
+func containsDB(set []yokan.DBHandle, db yokan.DBHandle) bool {
+	for _, d := range set {
+		if d == db {
+			return true
+		}
+	}
+	return false
 }
 
 func (ds *DataStore) datasetReplicas(path string) []yokan.DBHandle {
@@ -140,21 +146,6 @@ func localTransport(err error) bool {
 	return xerr.IsUnavailable(err) && !xerr.IsRemote(err)
 }
 
-// noteReadFailure feeds a failed replica read into the health tracker.
-func (ds *DataStore) noteReadFailure(db yokan.DBHandle, err error) {
-	if localTransport(err) {
-		ds.health.ReportFailure(string(db.Addr))
-	}
-}
-
-// countFailover bumps the failover counter when a read was served by a
-// database other than its placement primary.
-func (ds *DataStore) countFailover(primary, used yokan.DBHandle) {
-	if used != primary {
-		ds.failoverReads.Add(1)
-	}
-}
-
 // softMiss reports whether a not-found answer from a single replica may be
 // stale rather than authoritative. On a quiet cluster every usable replica
 // holds the same keys, so the first answer settles it. During a live
@@ -169,156 +160,147 @@ func (ds *DataStore) softMiss(replicas []yokan.DBHandle) bool {
 	return len(replicas) > ds.rf || ds.alt.Load() != nil
 }
 
-// missRetries bounds the re-resolve loop in getFO/existsFO: a migration
+// readReplicas is the one replica-read loop: every failover read (get,
+// exists, list and scan pages, the put-if-absent arbiter, the prefetcher's
+// group fallback) is a try callback on it. try is called on the replicas
+// in read order until one settles the read:
+//
+//   - an error that is routable moves on to the next copy, reporting the
+//     server to the health tracker when it never answered; any other error
+//     stops the read and is returned;
+//   - a hit settles the read;
+//   - a miss (false, nil) settles it too, except under softMiss, where the
+//     remaining copies are asked as well.
+//
+// A read settled by a database other than the placement primary adds
+// reads to the failover counter. When no copy settled the read, the last
+// routable failure is returned — a miss is only trustworthy when no
+// replica failed, because the unreachable copy might have held the key —
+// or nil when every copy missed. Callers pass closures that do not
+// escape, so the loop itself allocates nothing.
+func (ds *DataStore) readReplicas(replicas []yokan.DBHandle, reads int, try func(yokan.DBHandle) (hit bool, err error)) error {
+	soft := ds.softMiss(replicas)
+	var lastErr error
+	for _, db := range ds.readOrder(replicas) {
+		hit, err := try(db)
+		if err != nil {
+			if !routable(err) {
+				return err
+			}
+			if localTransport(err) {
+				ds.health.ReportFailure(string(db.Addr))
+			}
+			lastErr = err
+			continue
+		}
+		if hit || !soft {
+			if db != replicas[0] {
+				ds.failoverReads.Add(int64(reads))
+			}
+			return nil
+		}
+	}
+	return lastErr
+}
+
+// missRetries bounds the re-resolve loop of resolveRetry: a migration
 // commits at most once per window, so one retry usually settles it; the
 // bound only guards against back-to-back topology changes.
 const missRetries = 3
 
-// getFO is Get with resolve-retry and health-gated failover. The replica
-// set is resolved through the closure so that a miss observed across a view
-// transition (CommitMigration/RetireView bumped viewGen after we resolved —
-// the copy we asked may have been retired) is re-resolved against the new
-// committed view instead of trusted.
-func (ds *DataStore) getFO(ctx context.Context, resolve func() []yokan.DBHandle, key []byte) ([]byte, error) {
+// resolveRetry runs pass over a freshly resolved replica set. A pass that
+// missed across a view transition (CommitMigration/RetireView bumped
+// viewGen after the set was resolved — the copy asked may have been
+// retired) is rerun against the new committed view instead of trusted.
+func (ds *DataStore) resolveRetry(resolve func() []yokan.DBHandle, pass func([]yokan.DBHandle) (missed bool)) {
 	for attempt := 0; ; attempt++ {
 		gen := ds.viewGen.Load()
-		data, err := ds.getFrom(ctx, resolve(), key)
-		if err == nil || !errors.Is(err, yokan.ErrKeyNotFound) ||
-			attempt >= missRetries || ds.viewGen.Load() == gen {
-			return data, err
+		if !pass(resolve()) || attempt >= missRetries || ds.viewGen.Load() == gen {
+			return
 		}
 	}
 }
 
-// existsFO is Exists with the same resolve-retry contract as getFO: any
-// per-key false answer observed across a view transition is re-resolved.
-func (ds *DataStore) existsFO(ctx context.Context, resolve func() []yokan.DBHandle, ks [][]byte) ([]bool, error) {
-	for attempt := 0; ; attempt++ {
-		gen := ds.viewGen.Load()
-		found, err := ds.existsFrom(ctx, resolve(), ks)
-		if err != nil {
-			return nil, err
-		}
-		all := true
-		for _, f := range found {
-			if !f {
-				all = false
-				break
+// getFO is Get with resolve-retry and health-gated failover. A value or an
+// authoritative yokan.ErrKeyNotFound settles the read.
+func (ds *DataStore) getFO(ctx context.Context, resolve func() []yokan.DBHandle, key []byte) (data []byte, err error) {
+	ds.resolveRetry(resolve, func(replicas []yokan.DBHandle) bool {
+		var miss error
+		err = ds.readReplicas(replicas, 1, func(db yokan.DBHandle) (bool, error) {
+			val, gerr := ds.yc.Get(ctx, db, key)
+			if errors.Is(gerr, yokan.ErrKeyNotFound) {
+				miss = gerr
+				return false, nil
 			}
-		}
-		if all || attempt >= missRetries || ds.viewGen.Load() == gen {
-			return found, nil
-		}
-	}
-}
-
-// getFrom is one Get pass over a resolved replica set: replicas are tried
-// in read order; transport-class failures move on to the next copy, while
-// an application-level answer (value or yokan.ErrKeyNotFound) is
-// authoritative and returned immediately — except that during a migration
-// window a miss falls through to the remaining replicas (softMiss).
-func (ds *DataStore) getFrom(ctx context.Context, replicas []yokan.DBHandle, key []byte) ([]byte, error) {
-	soft := ds.softMiss(replicas)
-	var lastErr, notFound error
-	for _, db := range ds.readOrder(replicas) {
-		data, err := ds.yc.Get(ctx, db, key)
+			if gerr != nil {
+				return false, gerr
+			}
+			data, miss = val, nil
+			return true, nil
+		})
 		if err == nil {
-			ds.countFailover(replicas[0], db)
-			return data, nil
+			err = miss
 		}
-		if errors.Is(err, yokan.ErrKeyNotFound) {
-			if !soft {
-				ds.countFailover(replicas[0], db)
-				return data, err
-			}
-			notFound = err
-			continue
-		}
-		if !routable(err) {
-			return nil, err
-		}
-		ds.noteReadFailure(db, err)
-		lastErr = err
+		return errors.Is(err, yokan.ErrKeyNotFound)
+	})
+	if err != nil {
+		return nil, err
 	}
-	// A miss is only trustworthy when no replica failed for other reasons:
-	// an unreachable copy might have held the key.
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, notFound
+	return data, nil
 }
 
-// existsFrom is one Exists pass over a resolved replica set with
-// health-gated failover. During a migration window the per-key answers are
-// OR-ed across the replica set (softMiss): a key exists if any view's copy
-// holds it — but, mirroring getFrom, a per-key false is only trustworthy
-// when no replica failed, because an unreachable copy might have held the
-// key.
-func (ds *DataStore) existsFrom(ctx context.Context, replicas []yokan.DBHandle, ks [][]byte) ([]bool, error) {
-	soft := ds.softMiss(replicas)
-	var lastErr error
-	var acc []bool
-	for _, db := range ds.readOrder(replicas) {
-		found, err := ds.yc.Exists(ctx, db, ks)
-		if err != nil {
-			if !routable(err) {
-				return nil, err
+// existsFO is Exists with the same resolve-retry and failover contract as
+// getFO. A read counts as a hit when every key was found; under softMiss
+// the per-key answers are OR-ed across the replica set (a key exists if
+// any view's copy holds it).
+func (ds *DataStore) existsFO(ctx context.Context, resolve func() []yokan.DBHandle, ks [][]byte) (found []bool, err error) {
+	ds.resolveRetry(resolve, func(replicas []yokan.DBHandle) bool {
+		found = nil
+		err = ds.readReplicas(replicas, 1, func(db yokan.DBHandle) (bool, error) {
+			got, eerr := ds.yc.Exists(ctx, db, ks)
+			if eerr != nil {
+				return false, eerr
 			}
-			ds.noteReadFailure(db, err)
-			lastErr = err
-			continue
-		}
-		if acc == nil {
-			ds.countFailover(replicas[0], db)
-			if !soft {
-				return found, nil
+			if found == nil {
+				found = got
+			} else {
+				for i := range found {
+					found[i] = found[i] || got[i]
+				}
 			}
-			acc = found
-		} else {
-			for i := range acc {
-				acc[i] = acc[i] || found[i]
-			}
-		}
-		all := true
-		for _, f := range acc {
-			if !f {
-				all = false
-				break
-			}
-		}
-		if all {
-			return acc, nil
+			return allTrue(found), nil
+		})
+		return err == nil && !allTrue(found)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return found, nil
+}
+
+func allTrue(bs []bool) bool {
+	for _, b := range bs {
+		if !b {
+			return false
 		}
 	}
-	// Reaching here means some accumulated answer is still false (an all-true
-	// set returns inside the loop). If any replica failed, that false may
-	// merely mean the copy that held the key was unreachable — surface the
-	// failure instead of a stale miss.
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return acc, nil
+	return true
 }
 
 // listKeysFO is one ListKeys page with health-gated failover. Pages are
 // addressed by the resume cursor, so an iteration that switches replicas
 // mid-listing still sees every key exactly once — every usable replica
 // holds the same key set.
-func (ds *DataStore) listKeysFO(ctx context.Context, replicas []yokan.DBHandle, from, prefix []byte, max int) ([][]byte, error) {
-	var lastErr error
-	for _, db := range ds.readOrder(replicas) {
-		page, err := ds.yc.ListKeys(ctx, db, from, prefix, max)
-		if err == nil {
-			ds.countFailover(replicas[0], db)
-			return page, nil
-		}
-		if !routable(err) {
-			return nil, err
-		}
-		ds.noteReadFailure(db, err)
-		lastErr = err
+func (ds *DataStore) listKeysFO(ctx context.Context, replicas []yokan.DBHandle, from, prefix []byte, max int) (page [][]byte, err error) {
+	err = ds.readReplicas(replicas, 1, func(db yokan.DBHandle) (bool, error) {
+		var lerr error
+		page, lerr = ds.yc.ListKeys(ctx, db, from, prefix, max)
+		return lerr == nil, lerr
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return page, nil
 }
 
 // writeTolerable decides whether a failed replica write may be dropped
@@ -379,29 +361,26 @@ func (ds *DataStore) replicatedPut(ctx context.Context, replicas []yokan.DBHandl
 
 // replicatedPutIfAbsent arbitrates an atomic get-or-put on the first usable
 // replica — clients with a converged health view pick the same arbiter —
-// then copies the winning value to the remaining replicas. If the preferred
-// arbiter fails with a routable error the next replica in read order takes
-// over, so a dead or closed primary no longer sinks dataset creation.
+// then copies the winning value to the remaining replicas. The arbiter is
+// chosen by readReplicas, so a dead or closed primary hands arbitration to
+// the next replica in read order instead of sinking dataset creation.
 // Replica-copy failures follow the writeTolerable rule.
 func (ds *DataStore) replicatedPutIfAbsent(ctx context.Context, replicas []yokan.DBHandle, key, val []byte) ([]byte, bool, error) {
 	var (
 		arbiter  yokan.DBHandle
 		winner   []byte
 		inserted bool
-		err      error
 	)
-	order := ds.readOrder(replicas)
-	for i, db := range order {
-		winner, inserted, err = ds.yc.PutIfAbsent(ctx, db, key, val)
-		if err == nil {
-			arbiter = db
-			ds.countFailover(order[0], db)
-			break
+	err := ds.readReplicas(replicas, 1, func(db yokan.DBHandle) (bool, error) {
+		w, ins, perr := ds.yc.PutIfAbsent(ctx, db, key, val)
+		if perr != nil {
+			return false, perr
 		}
-		if !routable(err) || i == len(order)-1 {
-			return nil, false, err
-		}
-		ds.noteReadFailure(db, err)
+		arbiter, winner, inserted = db, w, ins
+		return true, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	for _, db := range replicas {
 		if db == arbiter {

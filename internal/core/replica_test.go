@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"github.com/hep-on-hpc/hepnos-go/internal/fabric"
 	"github.com/hep-on-hpc/hepnos-go/internal/health"
 	"github.com/hep-on-hpc/hepnos-go/internal/keys"
+	"github.com/hep-on-hpc/hepnos-go/internal/xerr"
 	"github.com/hep-on-hpc/hepnos-go/internal/yokan"
 )
 
@@ -74,14 +77,15 @@ func TestReplicaPlacementDistinctServers(t *testing.T) {
 			t.Fatalf("%s: both replicas on %s", what, set[0].Addr)
 		}
 	}
-	check("runs", ds.runReplicas(d.key), ds.runDBForDataset(d.key))
+	v := ds.v()
+	check("runs", ds.runReplicas(d.key), placeDB(ds, v.RunDBs, d.key.Bytes()))
 	for r := uint64(0); r < 8; r++ {
 		runKey := d.key.Child(r)
-		check("subruns", ds.subrunReplicas(runKey), ds.subrunDBForRun(runKey))
+		check("subruns", ds.subrunReplicas(runKey), placeDB(ds, v.SubrunDBs, runKey.Bytes()))
 		for s := uint64(0); s < 8; s++ {
 			srKey := runKey.Child(s)
-			check("events", ds.eventReplicas(srKey), ds.eventDBForSubRun(srKey))
-			check("products", ds.productReplicas(srKey.Child(s)), ds.productDBForContainer(srKey.Child(s)))
+			check("events", ds.eventReplicas(srKey), placeDB(ds, v.EventDBs, srKey.Bytes()))
+			check("products", ds.productReplicas(srKey.Child(s)), placeDB(ds, v.ProductDBs, srKey.Child(s).Bytes()))
 		}
 	}
 }
@@ -383,7 +387,7 @@ func TestResyncServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalReplayed() == 0 {
+	if st.TotalCopied() == 0 {
 		t.Fatalf("resync replayed nothing: %+v", st)
 	}
 	if st.TotalScanned() == 0 {
@@ -450,47 +454,201 @@ func TestResyncServerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExistsFromRefusesPartialMissOnReplicaFailure pins the softMiss
-// contract against unreachable replicas: when the per-key answers are OR-ed
-// across a migration-widened set, a false accumulated while some replica
-// failed transport is not trustworthy — the copy that held the key may have
-// been the unreachable one — so existsFrom must surface the failure instead
-// of a stale miss (mirroring getFrom).
-func TestExistsFromRefusesPartialMissOnReplicaFailure(t *testing.T) {
-	ds, d, _ := newTestCluster(t, bedrock.DeploySpec{Servers: 2})
-	ctx := context.Background()
+// replicaOutcome is what one replica-read operation ended with: "hit",
+// "miss", or the class of the surfaced error.
+type replicaOutcome struct {
+	result   string
+	failover bool // failoverReads moved
+	reported bool // some replica's server was reported to the health tracker
+}
 
-	v := ds.v()
-	db0 := v.EventDBs[0]
-	var db1 yokan.DBHandle
-	for _, db := range v.EventDBs[1:] {
-		if db.Addr != db0.Addr {
-			db1 = db
+// TestReplicaReadBehaviour pins the replica-read contract every failover
+// read shares — get, exists, one list page, one scan page and the
+// put-if-absent arbiter — over hand-built replica sets on a 2-server RF=2
+// deployment. Each operation runs on a fresh client so health and the
+// failover counter start clean. The replicas are:
+//
+//	a, b   databases on the two live servers;
+//	dead   a handle on an address nothing listens on (a dead server:
+//	       local transport failure, routable);
+//	bogus  a database name no provider serves (a remote not_found answer:
+//	       not routable).
+//
+// Rows with window set run with a migration window open, where a single
+// replica's miss is not authoritative (softMiss).
+func TestReplicaReadBehaviour(t *testing.T) {
+	dep, err := bedrock.Deploy(bedrock.DeploySpec{
+		Servers: 2, RF: 2, ProvidersPerServer: 1, EventDBsPerServer: 2, ProductDBsPerServer: 2,
+		NamePrefix: fmt.Sprintf("replread-%d", deploySeq.Add(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dep.Shutdown)
+	ctx := context.Background()
+	connect := func(t *testing.T) *DataStore {
+		ds, err := Connect(ctx, ClientConfig{Group: dep.Group, DisableHeartbeat: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ds.Close)
+		return ds
+	}
+	setup := connect(t)
+	a := setup.v().ProductDBs[0]
+	var b yokan.DBHandle
+	for _, db := range setup.v().ProductDBs {
+		if db.Addr != a.Addr {
+			b = db
 			break
 		}
 	}
-	if db1.Name == "" {
-		t.Fatal("test bug: no event database on a second server")
-	}
-	key := []byte("exists/partial-miss")
-	if err := ds.yc.Put(ctx, db0, key, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// A set wider than rf=1 turns softMiss on: the answers are OR-ed.
-	set := []yokan.DBHandle{db0, db1}
-	found, err := ds.existsFrom(ctx, set, [][]byte{key})
-	if err != nil || len(found) != 1 || !found[0] {
-		t.Fatalf("healthy OR pass: found=%v err=%v", found, err)
-	}
+	dead := yokan.DBHandle{Addr: "inproc://replread-dead-server", Provider: a.Provider, Name: a.Name}
+	bogus := yokan.DBHandle{Addr: a.Addr, Provider: a.Provider, Name: "products_no_such_db"}
 
-	// Kill the server holding the only copy: the surviving replica answers
-	// false, but that miss must not be trusted.
-	for _, s := range d.Servers {
-		if s.Addr() == db0.Addr {
-			s.Shutdown()
-		}
+	const (
+		hit, miss   = "hit", "miss"
+		unavailable = "unavailable"
+		noSuchDB    = "no_such_db"
+	)
+	type row struct {
+		name   string
+		window bool
+		set    []yokan.DBHandle
+		// key is stored on keyOn, aux on auxOn; exists asks for both.
+		keyOn, auxOn []yokan.DBHandle
+		want         map[string]replicaOutcome
+		// Under softMiss, which replica an OR-ed exists counts as having
+		// served it is not part of the contract.
+		existsFailoverUnpinned bool
 	}
-	if found, err = ds.existsFrom(ctx, set, [][]byte{key}); err == nil {
-		t.Fatalf("partial miss trusted despite an unreachable replica: %v", found)
+	all := func(o replicaOutcome) map[string]replicaOutcome {
+		return map[string]replicaOutcome{"get": o, "exists": o, "list": o, "scan": o, "put-if-absent": o}
+	}
+	rows := []row{
+		{
+			name: "primary answers", set: []yokan.DBHandle{a, b},
+			keyOn: []yokan.DBHandle{a, b}, auxOn: []yokan.DBHandle{a, b},
+			want: all(replicaOutcome{result: hit}),
+		},
+		{
+			name: "dead primary fails over", set: []yokan.DBHandle{dead, b},
+			keyOn: []yokan.DBHandle{b}, auxOn: []yokan.DBHandle{b},
+			want: all(replicaOutcome{result: hit, failover: true, reported: true}),
+		},
+		{
+			name: "non-routable error stops", set: []yokan.DBHandle{bogus, b},
+			keyOn: []yokan.DBHandle{b}, auxOn: []yokan.DBHandle{b},
+			want: all(replicaOutcome{result: noSuchDB}),
+		},
+		{
+			// The committed copy (a) misses; the alternate view's copy holds
+			// the key. Point reads fall through (exists ORs key on b with
+			// aux on a); a page is a complete answer from the first
+			// replica; the arbiter is the first replica.
+			name: "migration window soft miss", window: true, set: []yokan.DBHandle{a, b},
+			keyOn: []yokan.DBHandle{b}, auxOn: []yokan.DBHandle{a},
+			want: map[string]replicaOutcome{
+				"get": {result: hit, failover: true}, "exists": {result: hit}, "list": {result: miss},
+				"scan": {result: hit}, "put-if-absent": {result: miss},
+			},
+			existsFailoverUnpinned: true,
+		},
+		{
+			// In a window a miss is only trusted when no replica failed:
+			// the unreachable copy might have held the key, so the failure
+			// surfaces instead of the miss. (This row is the former
+			// TestExistsFromRefusesPartialMissOnReplicaFailure.) Pages and
+			// the arbiter fail over to the live copy as usual.
+			name: "miss while a replica failed", window: true, set: []yokan.DBHandle{dead, a},
+			want: map[string]replicaOutcome{
+				"get":           {result: unavailable, reported: true},
+				"exists":        {result: unavailable, reported: true},
+				"list":          {result: miss, failover: true, reported: true},
+				"scan":          {result: hit, failover: true, reported: true},
+				"put-if-absent": {result: miss, failover: true, reported: true},
+			},
+			existsFailoverUnpinned: true,
+		},
+	}
+	stored := []byte("stored-value")
+	for ri, r := range rows {
+		prefix := fmt.Sprintf("replread/%d/", ri)
+		key, aux := []byte(prefix+"key"), []byte(prefix+"aux")
+		for _, db := range r.keyOn {
+			if err := setup.yc.Put(ctx, db, key, stored); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, db := range r.auxOn {
+			if err := setup.yc.Put(ctx, db, aux, stored); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops := []struct {
+			name string
+			run  func(ds *DataStore) (bool, error)
+		}{
+			{"get", func(ds *DataStore) (bool, error) {
+				val, err := ds.getFO(ctx, func() []yokan.DBHandle { return r.set }, key)
+				if errors.Is(err, yokan.ErrKeyNotFound) {
+					return false, nil
+				}
+				return err == nil && bytes.Equal(val, stored), err
+			}},
+			{"exists", func(ds *DataStore) (bool, error) {
+				found, err := ds.existsFO(ctx, func() []yokan.DBHandle { return r.set }, [][]byte{key, aux})
+				return err == nil && found[0] && found[1], err
+			}},
+			{"list", func(ds *DataStore) (bool, error) {
+				page, err := ds.listKeysFO(ctx, r.set, nil, []byte(prefix), 16)
+				for _, k := range page {
+					if bytes.Equal(k, key) {
+						return true, err
+					}
+				}
+				return false, err
+			}},
+			{"scan", func(ds *DataStore) (bool, error) {
+				_, err := ds.scanFO(ctx, r.set, yokan.ScanRequest{Group: []byte(prefix), Hi: ^uint64(0)})
+				return err == nil, err
+			}},
+			{"put-if-absent", func(ds *DataStore) (bool, error) {
+				winner, inserted, err := ds.replicatedPutIfAbsent(ctx, r.set, key, []byte("candidate"))
+				return err == nil && !inserted && bytes.Equal(winner, stored), err
+			}},
+		}
+		for _, op := range ops {
+			t.Run(r.name+"/"+op.name, func(t *testing.T) {
+				ds := connect(t)
+				if r.window {
+					ds.alt.Store(ds.v())
+				}
+				ok, err := op.run(ds)
+				got := replicaOutcome{result: miss, failover: ds.failoverReads.Load() > 0}
+				switch {
+				case errors.Is(err, yokan.ErrNoSuchDB):
+					got.result = noSuchDB
+				case xerr.IsUnavailable(err):
+					got.result = unavailable
+				case err != nil:
+					got.result = err.Error()
+				case ok:
+					got.result = hit
+				}
+				for _, db := range []yokan.DBHandle{a, b, dead} {
+					if ds.Health().StateOf(string(db.Addr)) != health.Alive {
+						got.reported = true
+					}
+				}
+				want := r.want[op.name]
+				if r.existsFailoverUnpinned && op.name == "exists" {
+					got.failover = want.failover
+				}
+				if got != want {
+					t.Fatalf("got %+v (err %v), want %+v", got, err, want)
+				}
+			})
+		}
 	}
 }

@@ -11,6 +11,12 @@ import (
 
 // deployAndConnect boots a service and connects with the given placement.
 func deployAndConnect(t *testing.T, servers int, prefix string, placement Placement) (*DataStore, bedrock.GroupFile) {
+	return deployAtEpoch(t, servers, prefix, placement, 0)
+}
+
+// deployAtEpoch is deployAndConnect with the group's membership epoch set
+// before connecting (0 keeps the deployment's own).
+func deployAtEpoch(t *testing.T, servers int, prefix string, placement Placement, epoch uint64) (*DataStore, bedrock.GroupFile) {
 	t.Helper()
 	d, err := bedrock.Deploy(bedrock.DeploySpec{
 		Servers:             servers,
@@ -23,6 +29,9 @@ func deployAndConnect(t *testing.T, servers int, prefix string, placement Placem
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Shutdown)
+	if epoch != 0 {
+		d.Group.Epoch = epoch
+	}
 	ds, err := Connect(context.Background(), ClientConfig{Group: d.Group, Placement: placement})
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +140,18 @@ func testRescale(t *testing.T, placement Placement) {
 	// Old view: a 2-server service holding the data. New view: a larger
 	// 3-server service. Rescale migrates every key whose home changes;
 	// between disjoint deployments that is all of them, which exercises
-	// the full scan/probe/move path for all five roles.
+	// the full scan/probe/copy path for all five roles. Rescale is a live
+	// migration, whose target must carry a strictly newer membership
+	// epoch, so the new deployment's group is bumped before connecting.
 	oldDS, _ := deployAndConnect(t, 2, fmt.Sprintf("resc-old-%s", placement), placement)
 	n := populate(t, oldDS)
-	newDS, _ := deployAndConnect(t, 3, fmt.Sprintf("resc-new-%s", placement), placement)
+	newDS, _ := deployAtEpoch(t, 3, fmt.Sprintf("resc-new-%s", placement), placement, oldDS.GroupEpoch()+1)
 
 	st, err := Rescale(context.Background(), oldDS, newDS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalScanned() == 0 || st.TotalMoved() == 0 {
+	if st.TotalScanned() == 0 || st.TotalCopied() == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	for _, role := range []string{"datasets", "runs", "subruns", "events", "products"} {

@@ -18,35 +18,29 @@ import (
 // The analysis loop then touches a small fraction of the wire bytes a
 // full row-path decode would move.
 
-// scanFO is one pushdown-scan call with health-gated failover, mirroring
-// getFO: replicas are tried in read order, transport-class failures move
-// to the next copy, an application-level answer is authoritative. Page
-// keys are identical on every replica, so a resume cursor taken from one
-// copy is valid on another — a paged scan survives mid-flight failover.
-// Successful calls feed the client's hepnos_scan_* counters.
-func (ds *DataStore) scanFO(ctx context.Context, replicas []yokan.DBHandle, req yokan.ScanRequest) (*yokan.ScanResult, error) {
-	var lastErr error
-	for _, db := range ds.readOrder(replicas) {
-		res, err := ds.yc.Scan(ctx, db, req)
-		if err == nil {
-			ds.countFailover(replicas[0], db)
-			ds.scanRequests.Add(1)
-			ds.scanPagesScanned.Add(int64(res.PagesScanned))
-			ds.scanRowsScanned.Add(int64(res.RowsScanned))
-			ds.scanRowsMatched.Add(int64(res.RowsMatched))
-			ds.scanBytesReturned.Add(int64(res.ReturnedBytes))
-			if res.FullBytes > res.ReturnedBytes {
-				ds.scanBytesSaved.Add(int64(res.FullBytes - res.ReturnedBytes))
-			}
-			return res, nil
-		}
-		if !routable(err) {
-			return nil, err
-		}
-		ds.noteReadFailure(db, err)
-		lastErr = err
+// scanFO is one pushdown-scan call with health-gated failover
+// (readReplicas). Page keys are identical on every replica, so a resume
+// cursor taken from one copy is valid on another — a paged scan survives
+// mid-flight failover. Successful calls feed the client's hepnos_scan_*
+// counters.
+func (ds *DataStore) scanFO(ctx context.Context, replicas []yokan.DBHandle, req yokan.ScanRequest) (res *yokan.ScanResult, err error) {
+	err = ds.readReplicas(replicas, 1, func(db yokan.DBHandle) (bool, error) {
+		var serr error
+		res, serr = ds.yc.Scan(ctx, db, req)
+		return serr == nil, serr
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	ds.scanRequests.Add(1)
+	ds.scanPagesScanned.Add(int64(res.PagesScanned))
+	ds.scanRowsScanned.Add(int64(res.RowsScanned))
+	ds.scanRowsMatched.Add(int64(res.RowsMatched))
+	ds.scanBytesReturned.Add(int64(res.ReturnedBytes))
+	if res.FullBytes > res.ReturnedBytes {
+		ds.scanBytesSaved.Add(int64(res.FullBytes - res.ReturnedBytes))
+	}
+	return res, nil
 }
 
 // allColumns returns the identity projection for a schema.

@@ -77,14 +77,23 @@ func TestQoSTwoTenantFairness(t *testing.T) {
 	dep := qosDeploy(t)
 
 	seed := chaos.SeedFromEnv(11)
-	in := chaos.New(seed, &chaos.OverloadStorm{
-		Period: 25, Len: 8,
-		// Only the greedy tenant's wire storms; the interactive tenant's
-		// traffic is clean so its latency bound measures the *gate's*
-		// isolation, not the storm's mercy.
-		TenantP: map[string]float64{"greedy": 0.4, "interactive": 0},
-	})
+	storm := func() *chaos.OverloadStorm {
+		return &chaos.OverloadStorm{
+			Period: 25, Len: 8,
+			// Only the greedy tenant's wire storms; the interactive tenant's
+			// traffic is clean so its latency bound measures the *gate's*
+			// isolation, not the storm's mercy.
+			TenantP: map[string]float64{"greedy": 0.4, "interactive": 0},
+		}
+	}
+	// One injector per client: the two tenants run concurrently, and a
+	// shared injector would number their messages in whatever order the
+	// scheduler interleaves them, so the greedy tenant's storm schedule
+	// would not be a pure function of the seed.
+	in := chaos.New(seed, storm())
+	readIn := chaos.New(seed, storm())
 	chaos.Report(t, in)
+	chaos.Report(t, readIn)
 
 	pol := resilience.Default()
 	pol.MaxRetries = 6
@@ -106,7 +115,7 @@ func TestQoSTwoTenantFairness(t *testing.T) {
 	reader, err := core.Connect(ctx, core.ClientConfig{
 		Group:  dep.Group,
 		Tenant: "interactive",
-		NetSim: &fabric.NetSim{Fault: in.ClientFault()},
+		NetSim: &fabric.NetSim{Fault: readIn.ClientFault()},
 	})
 	if err != nil {
 		t.Fatal(err)
