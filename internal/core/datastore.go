@@ -197,6 +197,7 @@ type DataStore struct {
 	pepEvents        atomic.Int64 // events processed by PEP workers
 	pepBatches       atomic.Int64 // work batches processed by PEP workers
 	prefetchLoads    atomic.Int64 // product loads requested by the Prefetcher
+	prefetchGroups   atomic.Int64 // per-database GetMulti groups the Prefetcher fanned out
 	prefetchDegraded atomic.Int64 // loads degraded to on-demand by failed groups
 	prefetchDrained  atomic.Int64 // cancelled-fetch segments recycled by the background drain
 	failoverReads    atomic.Int64 // reads served by a replica instead of the primary

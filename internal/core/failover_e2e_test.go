@@ -150,12 +150,20 @@ func TestFailoverE2E(t *testing.T) {
 		return agg
 	}
 
+	degradedBefore := metricValue(t, ds.Registry(), obs.MetricPrefetchDegrade)
 	stats := runPass("degraded pass")
 	if stats.LocalFailover == 0 || stats.TotalFailover == 0 {
 		t.Fatalf("no failover reads recorded in a pass with a dead server: %+v", stats)
 	}
 	if stats.LocalDegraded == 0 || stats.TotalDegraded == 0 {
 		t.Fatalf("degraded-read stat is zero in a pass with a dead server: %+v", stats)
+	}
+	// TotalDegraded is the prefetch loads that fell back to on-demand plus
+	// the replica-served reads; the first part must match the Prefetcher's
+	// own counter exactly, however the reader cut the pass into chunks.
+	degradedDelta := metricValue(t, ds.Registry(), obs.MetricPrefetchDegrade) - degradedBefore
+	if got := stats.TotalDegraded - stats.TotalFailover; got != int64(degradedDelta) {
+		t.Fatalf("TotalDegraded−TotalFailover = %d, prefetch degraded counter moved by %v: %+v", got, degradedDelta, stats)
 	}
 	if fo := metricValue(t, ds.Registry(), obs.MetricFailoverReads); fo == 0 {
 		t.Fatal("obs failover counter is zero after the degraded pass")

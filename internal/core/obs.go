@@ -32,6 +32,11 @@ func (ds *DataStore) registerCoreMetrics() {
 		obs.TypeCounter, func() []obs.Sample {
 			return obs.GaugeSample(float64(ds.prefetchLoads.Load()))
 		})
+	ds.registry.MustRegister(obs.MetricPrefetchGroups,
+		"Per-database GetMulti groups fanned out by the Prefetcher (replica retries excluded).",
+		obs.TypeCounter, func() []obs.Sample {
+			return obs.GaugeSample(float64(ds.prefetchGroups.Load()))
+		})
 	ds.registry.MustRegister(obs.MetricPrefetchDegrade,
 		"Prefetch product loads degraded to on-demand RPCs by failed groups.",
 		obs.TypeCounter, func() []obs.Sample {

@@ -48,7 +48,10 @@ type PEPOptions struct {
 	// "typically as many readers as databases to read from".
 	Readers int
 	// Prefetch lists products to fetch in bulk with the events and ship
-	// inside work batches.
+	// inside work batches. Readers fetch them once per load chunk of 8
+	// work batches rather than once per work batch, so each product
+	// database gets few large GetMulti RPCs instead of one small one per
+	// batch, without holding a whole page of products in memory at once.
 	Prefetch []ProductSelector
 }
 
@@ -166,7 +169,8 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 	batches := make(chan pepWorkMsg, 64)
 
 	// Background loader: page event keys out of the assigned databases in
-	// LoadBatchSize pages, prefetch products, chop into work batches. Like
+	// LoadBatchSize pages, cut each page into load chunks, prefetch each
+	// chunk's products, chop it into work batches. Like
 	// the reader it is a long-running loop, so it runs on a dedicated
 	// engine goroutine; its per-database GetMulti groups fan out on the
 	// engine's RPC pool through the Prefetcher.
@@ -178,6 +182,7 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 		defer close(batches)
 		prefix := dataset.key.Bytes()
 		eventDBs := ds.v().EventDBs
+		chunk := pepChunkBatches * opts.WorkBatchSize
 		for dbi := rank; dbi < len(eventDBs); dbi += opts.Readers {
 			db := eventDBs[dbi]
 			if ds.rf > 1 && !ds.health.Usable(string(db.Addr)) {
@@ -222,24 +227,17 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 				if foEvents > 0 {
 					ds.failoverReads.Add(int64(foEvents))
 				}
-				for off := 0; off < len(evKeys); off += opts.WorkBatchSize {
-					hi := off + opts.WorkBatchSize
-					if hi > len(evKeys) {
-						hi = len(evKeys)
+				for lo := 0; lo < len(evKeys); lo += chunk {
+					hi := min(lo+chunk, len(evKeys))
+					msgs := pepChunk(tctx, pf, evKeys[lo:hi], opts.WorkBatchSize)
+					if lo == 0 {
+						// Page-level failover counts ride the page's first
+						// batch; only the cross-rank totals are meaningful.
+						msgs[0].Failover += uint32(foEvents)
 					}
-					msg := pepWorkMsg{Keys: evKeys[off:hi]}
-					if off == 0 {
-						// Page-level failover counts ride the first batch;
-						// only the cross-rank totals are meaningful.
-						msg.Failover = uint32(foEvents)
+					for _, msg := range msgs {
+						batches <- msg
 					}
-					if len(opts.Prefetch) > 0 {
-						pref, degraded, failover := pf.Fetch(tctx, msg.Keys)
-						msg.Pref = pref
-						msg.Degraded = uint32(degraded)
-						msg.Failover += uint32(failover)
-					}
-					batches <- msg
 				}
 			}
 		}
@@ -266,6 +264,57 @@ func (ds *DataStore) pepReader(ctx context.Context, comm *mpi.Comm, dataset *Dat
 		comm.Send(src, tagPEPWorkResp, payload)
 	}
 	loadWG.Wait()
+}
+
+// pepChunkBatches is how many work batches one load chunk spans. The
+// reader runs one Prefetcher.Fetch per chunk, so each product database
+// sees one GetMulti per chunk instead of one per work batch: at the default
+// 64-event batches that is 512 events per fetch, about 8× fewer RPCs with
+// 8× larger payloads. Prefetching a whole LoadBatchSize page at once is
+// faster still but keeps a page's worth of GetMulti responses and frame
+// buffers live at a time, which costs more memory than it saves RPCs
+// (EXPERIMENTS.md, "PEP prefetch chunk size").
+const pepChunkBatches = 8
+
+// pepChunk prefetches the products of one load chunk of event keys and
+// cuts the chunk into work batches of wbs events. Each prefetched entry
+// goes to the batch holding its event, with EventIdx rebased to that batch.
+// The chunk's degraded and failover counts ride its first batch, so the
+// cross-rank PEPStats totals count each exactly once.
+func pepChunk(ctx context.Context, pf *Prefetcher, evKeys [][]byte, wbs int) []pepWorkMsg {
+	msgs := make([]pepWorkMsg, (len(evKeys)+wbs-1)/wbs)
+	for b := range msgs {
+		msgs[b].Keys = evKeys[b*wbs : min((b+1)*wbs, len(evKeys))]
+	}
+	pref, degraded, failover := pf.Fetch(ctx, evKeys)
+	msgs[0].Degraded = uint32(degraded)
+	msgs[0].Failover = uint32(failover)
+	if len(pref) == 0 {
+		return msgs
+	}
+	// Counting sort by batch into one backing array: next[b] starts as the
+	// offset of batch b's entries and ends as the offset one past them.
+	next := make([]int, len(msgs))
+	for _, e := range pref {
+		next[int(e.EventIdx)/wbs]++
+	}
+	off := 0
+	for b, n := range next {
+		next[b], off = off, off+n
+	}
+	sorted := make([]pepPrefEntry, len(pref))
+	for _, e := range pref {
+		b := int(e.EventIdx) / wbs
+		e.EventIdx -= uint32(b * wbs)
+		sorted[next[b]] = e
+		next[b]++
+	}
+	off = 0
+	for b := range msgs {
+		msgs[b].Pref = sorted[off:next[b]]
+		off = next[b]
+	}
+	return msgs
 }
 
 // pepWorker pulls work batches from the readers round-robin and processes

@@ -9,6 +9,7 @@ import (
 
 	"github.com/hep-on-hpc/hepnos-go/internal/bedrock"
 	"github.com/hep-on-hpc/hepnos-go/internal/mpi"
+	"github.com/hep-on-hpc/hepnos-go/internal/obs"
 )
 
 // buildEventSample fills a dataset with events spread over runs/subruns and
@@ -285,5 +286,134 @@ func TestProcessEventsMoreReadersThanRanks(t *testing.T) {
 	})
 	if n != len(want) {
 		t.Fatalf("processed %d, want %d", n, len(want))
+	}
+}
+
+// TestProcessEventsPrefetchChunks guards the reader's load-chunk split: one
+// Prefetcher.Fetch per chunk of pepChunkBatches work batches, its entries
+// redistributed to the chunk's batches with EventIdx rebased per batch. The
+// work batch (48) divides neither the page (900, then a 100-key tail) nor
+// the chunks within it (384, 384, 132), and every event carries its own
+// product value, so an entry shipped to the wrong batch or slot shows up as
+// a wrong or missing product.
+func TestProcessEventsPrefetchChunks(t *testing.T) {
+	ds := newTestStore(t, bedrock.DeploySpec{Servers: 1, EventDBsPerServer: 1})
+	want := buildEventSample(t, ds, "chunks", 2, 5, 100) // 1000 events
+	d, _ := ds.OpenDataSet(context.Background(), "chunks")
+	const wbs = 48
+	if len(want) <= 2*pepChunkBatches*wbs {
+		t.Fatalf("sample of %d events does not span more than two chunks", len(want))
+	}
+	sel := SelectorFor("parts", []particle{})
+
+	var mu sync.Mutex
+	seen := make(map[EventID]int)
+	var problems []string
+	mpi.NewWorld(3).Run(func(c *mpi.Comm) {
+		_, err := ds.ProcessEvents(context.Background(), c, d, PEPOptions{
+			LoadBatchSize: 900,
+			WorkBatchSize: wbs,
+			Prefetch:      []ProductSelector{sel},
+		}, func(ev *Event) error {
+			id := ev.ID()
+			_, shipped := ev.prefetched[sel.key()]
+			var ps []particle
+			err := ev.Load(context.Background(), "parts", &ps)
+			mu.Lock()
+			defer mu.Unlock()
+			seen[id]++
+			switch {
+			case !shipped:
+				problems = append(problems, fmt.Sprintf("event %v: product not prefetched (on-demand fallback)", id))
+			case err != nil:
+				problems = append(problems, fmt.Sprintf("event %v: %v", id, err))
+			case len(ps) != 1 || ps[0] != (particle{X: float32(id.Run), Y: float32(id.SubRun), Z: float32(id.Event)}):
+				problems = append(problems, fmt.Sprintf("event %v: got another event's product %+v", id, ps))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+	})
+	if len(problems) > 0 {
+		t.Fatalf("%d bad loads, first: %s", len(problems), problems[0])
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("saw %d distinct events, want %d", len(seen), len(want))
+	}
+	for id, n := range seen {
+		if n != 1 || !want[id] {
+			t.Fatalf("event %v processed %d times (expected: %v)", id, n, want[id])
+		}
+	}
+	if deg := metricValue(t, ds.Registry(), obs.MetricPrefetchDegrade); deg != 0 {
+		t.Fatalf("%v prefetch loads degraded on a healthy service", deg)
+	}
+}
+
+// TestProcessEventsPrefetchRPCBudget locks the prefetch fan-out to load
+// chunks: a pass over N events in one page may issue at most one GetMulti
+// group per product database per chunk. Prefetching per work batch instead
+// would issue pepChunkBatches times as many and fail here.
+func TestProcessEventsPrefetchRPCBudget(t *testing.T) {
+	ds := newTestStore(t, bedrock.DeploySpec{Servers: 1, EventDBsPerServer: 1})
+	want := buildEventSample(t, ds, "budget", 2, 5, 100) // 1000 events, one page
+	d, _ := ds.OpenDataSet(context.Background(), "budget")
+	before := metricValue(t, ds.Registry(), obs.MetricPrefetchGroups)
+
+	const wbs = 64
+	mpi.NewWorld(2).Run(func(c *mpi.Comm) {
+		stats, err := ds.ProcessEvents(context.Background(), c, d, PEPOptions{
+			WorkBatchSize: wbs,
+			Prefetch:      []ProductSelector{SelectorFor("parts", []particle{})},
+		}, func(*Event) error { return nil })
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+		if stats.TotalEvents != int64(len(want)) {
+			t.Errorf("rank %d: total %d events, want %d", c.Rank(), stats.TotalEvents, len(want))
+		}
+	})
+	chunk := pepChunkBatches * wbs
+	budget := (len(want) + chunk - 1) / chunk * len(ds.v().ProductDBs)
+	groups := int(metricValue(t, ds.Registry(), obs.MetricPrefetchGroups) - before)
+	if groups == 0 || groups > budget {
+		t.Fatalf("pass over %d events issued %d prefetch groups, budget %d (ceil(N/%d) × %d product DBs)",
+			len(want), groups, budget, chunk, len(ds.v().ProductDBs))
+	}
+}
+
+// TestProcessEventsDegradedAccountingExact checks that chunked prefetch
+// reports each degraded product load exactly once: with RF=1 and a dead
+// server, every group bound for its product databases falls back to
+// on-demand, and the PEP's cross-rank degraded count (minus failover) must
+// equal what the Prefetcher's own counter saw, over many chunks.
+func TestProcessEventsDegradedAccountingExact(t *testing.T) {
+	ds, d, _ := newTestCluster(t, bedrock.DeploySpec{Servers: 2, EventDBsPerServer: 1})
+	buildEventSample(t, ds, "degraded", 2, 20, 25) // 40 subruns over 2 event DBs
+	dd, _ := ds.OpenDataSet(context.Background(), "degraded")
+	d.Servers[1].Shutdown()
+	before := metricValue(t, ds.Registry(), obs.MetricPrefetchDegrade)
+
+	var stats PEPStats
+	mpi.NewWorld(2).Run(func(c *mpi.Comm) {
+		st, err := ds.ProcessEvents(context.Background(), c, dd, PEPOptions{
+			WorkBatchSize: 8,
+			Prefetch:      []ProductSelector{SelectorFor("parts", []particle{})},
+		}, func(*Event) error { return nil })
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
+		if c.Rank() == 0 {
+			stats = st
+		}
+	})
+	delta := int64(metricValue(t, ds.Registry(), obs.MetricPrefetchDegrade) - before)
+	if delta == 0 || stats.TotalEvents <= 2*pepChunkBatches*8 {
+		t.Fatalf("scenario too weak: %d degraded loads over %d events", delta, stats.TotalEvents)
+	}
+	if got := stats.TotalDegraded - stats.TotalFailover; got != delta {
+		t.Fatalf("TotalDegraded−TotalFailover = %d, prefetch degraded counter moved by %d: %+v", got, delta, stats)
 	}
 }

@@ -105,6 +105,7 @@ func (p *Prefetcher) Fetch(ctx context.Context, evKeys [][]byte) ([]pepPrefEntry
 	// Submit every group, then collect: with an engine the groups overlap
 	// on the RPC pool; with a nil engine GetMultiAsync runs inline and
 	// this degenerates to the serial loop.
+	p.ds.prefetchGroups.Add(int64(len(groups)))
 	evs := make([]*asyncengine.Eventual[yokan.GetMultiResult], len(groups))
 	for i, g := range groups {
 		// Small groups go inline; large ones take the bulk (RDMA) path,

@@ -209,6 +209,8 @@ func TestPromGolden(t *testing.T) {
 		func() []Sample {
 			return []Sample{OneSample(3, "pool", "rpc")}
 		})
+	r.MustRegister(MetricPrefetchGroups, "Per-database GetMulti groups fanned out by the Prefetcher.", TypeCounter,
+		func() []Sample { return GaugeSample(16) })
 	r.MustRegister("hepnos_test_escapes", `Help with backslash \ and
 newline.`, TypeGauge, func() []Sample {
 		return []Sample{
@@ -265,6 +267,7 @@ func TestRenderReportSections(t *testing.T) {
 				{Name: MetricRetries, Type: TypeCounter, Samples: []Sample{{Value: 3}}},
 				{Name: MetricBreakerState, Type: TypeGauge, Samples: []Sample{OneSample(2, "target", "tcp://srv")}},
 				{Name: MetricPrefetchLoads, Type: TypeCounter, Samples: []Sample{{Value: 100}}},
+				{Name: MetricPrefetchGroups, Type: TypeCounter, Samples: []Sample{{Value: 25}}},
 				{Name: MetricPrefetchDegrade, Type: TypeCounter, Samples: []Sample{{Value: 4}}},
 			},
 			Spans: []Span{spans[1]}, // the client span
@@ -284,7 +287,7 @@ func TestRenderReportSections(t *testing.T) {
 		"per-database service time", "db=events_0",
 		"async pool saturation", "high-water=6",
 		"resilience:", "retries=3", "state=open",
-		"prefetcher:", "degraded=4",
+		"prefetcher:", "groups=25", "degraded=4",
 		"linked client→server pairs=1",
 	} {
 		if !strings.Contains(report, want) {

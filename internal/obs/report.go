@@ -43,6 +43,7 @@ const (
 	MetricPEPEvents       = "hepnos_pep_events_total"
 	MetricPEPBatches      = "hepnos_pep_batches_total"
 	MetricPrefetchLoads   = "hepnos_prefetch_loads_total"
+	MetricPrefetchGroups  = "hepnos_prefetch_groups_total"
 	MetricPrefetchDegrade = "hepnos_prefetch_degraded_total"
 
 	MetricSpansRecorded = "hepnos_obs_spans_total"
@@ -301,16 +302,17 @@ func breakerStateName(v float64) string {
 }
 
 func renderDegraded(b *strings.Builder, sources []Source) {
-	var loads, degraded float64
+	var loads, groups, degraded float64
 	for _, src := range sources {
 		loads += sumSamples(src, MetricPrefetchLoads)
+		groups += sumSamples(src, MetricPrefetchGroups)
 		degraded += sumSamples(src, MetricPrefetchDegrade)
 	}
 	if loads == 0 && degraded == 0 {
 		return
 	}
 	b.WriteString("\nprefetcher:\n")
-	fmt.Fprintf(b, "  loads=%.0f degraded=%.0f\n", loads, degraded)
+	fmt.Fprintf(b, "  loads=%.0f groups=%.0f degraded=%.0f\n", loads, groups, degraded)
 }
 
 // renderSpanLinkage matches server-side spans to the client spans that

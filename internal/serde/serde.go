@@ -53,21 +53,23 @@ func putArchive(ar *Archive) {
 // Marshal encodes v into a fresh, exactly-sized byte slice. v may be the
 // value or a (chain of) pointer(s) to it; both encode identically, so
 // Marshal(&v) round-trips through Unmarshal(data, &v). Internally it
-// encodes into a pooled scratch buffer (so buffer growth is amortized across
-// calls) and copies out only the final bytes; the result is GC-owned and
-// safe to retain. Hot paths that can manage buffer lifetime should prefer
-// MarshalAppend into a wire.Buf instead.
+// encodes into a pooled scratch buffer and copies out only the final bytes;
+// the result is GC-owned and safe to retain. Hot paths that can manage
+// buffer lifetime should prefer MarshalAppend into a wire.Buf instead.
+//
+// Only the scratch's own array goes back to the pool. Growth past it is
+// left to the GC: Marshal always draws from the smallest class, so grown
+// arrays re-classed into larger pools were put far more often than drawn,
+// and the pools' victim cache kept them live across GC cycles.
 func Marshal(v any) ([]byte, error) {
 	scratch := wire.Acquire(256)
+	defer scratch.Release()
 	out, err := MarshalAppend(scratch.B, v)
 	if err != nil {
-		scratch.Release()
 		return nil, err
 	}
 	exact := make([]byte, len(out))
 	copy(exact, out)
-	scratch.B = out[:0] // keep any growth for the pool
-	scratch.Release()
 	return exact, nil
 }
 
